@@ -24,13 +24,11 @@ use attila_gl::workloads::{self, WorkloadParams};
 use attila_gl::{compile, GlTrace};
 use attila_json::Json;
 
-/// One measured workload: `(name, cycles, best seconds per pass)`, plus
-/// the best threaded pass when `--threads` asks for one.
+/// One measured workload: `(name, cycles, best seconds per pass)`.
 struct Measurement {
     name: &'static str,
     cycles: u64,
     secs: f64,
-    threaded_secs: Option<f64>,
 }
 
 fn standard_workloads(full: bool) -> Vec<(&'static str, GlTrace)> {
@@ -55,9 +53,7 @@ fn standard_workloads(full: bool) -> Vec<(&'static str, GlTrace)> {
 
 /// Times `run_trace` for one workload: one untimed warm-up pass plus
 /// `samples` timed passes; returns the cycle count and the best pass.
-/// `threads > 1` runs the clock-domain worker pool (bit-identical to the
-/// serial loop, so the cycle count is the same either way).
-fn measure(trace: &GlTrace, samples: u32, threads: usize) -> (u64, f64) {
+fn measure(trace: &GlTrace, samples: u32) -> (u64, f64) {
     let mut config = GpuConfig::baseline();
     config.display.width = trace.width;
     config.display.height = trace.height;
@@ -65,7 +61,7 @@ fn measure(trace: &GlTrace, samples: u32, threads: usize) -> (u64, f64) {
     let mut best = f64::INFINITY;
     let mut cycles = 0;
     for i in 0..=samples {
-        let mut gpu = Gpu::with_threads(config.clone(), threads);
+        let mut gpu = Gpu::new(config.clone());
         gpu.max_cycles = 2_000_000_000;
         gpu.keep_frames = false;
         let start = Instant::now();
@@ -109,7 +105,6 @@ fn main() {
     let mut samples = 3u32;
     let mut full = false;
     let mut workers_arg: Option<usize> = None;
-    let mut threads = 1usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -121,10 +116,6 @@ fn main() {
                 workers_arg =
                     Some(it.next().expect("--workers needs a value").parse().expect("--workers"))
             }
-            "--threads" => {
-                threads = it.next().expect("--threads needs a value").parse().expect("--threads");
-                assert!(threads >= 1, "--threads needs at least 1");
-            }
             other => panic!("unknown argument `{other}`"),
         }
     }
@@ -133,20 +124,9 @@ fn main() {
     let mut rows = Vec::new();
     let mut measurements = Vec::new();
     for (name, trace) in standard_workloads(full) {
-        let (cycles, secs) = measure(&trace, samples, 1);
+        let (cycles, secs) = measure(&trace, samples);
         println!("{name:<16} {cycles:>9} cycles  {:>8.2} ms  {:>7.2} Mcyc/s", secs * 1e3, cycles as f64 / secs / 1e6);
-        let threaded_secs = (threads > 1).then(|| {
-            let (tcycles, tsecs) = measure(&trace, samples, threads);
-            assert_eq!(tcycles, cycles, "{name}: threaded run must be cycle-identical");
-            println!(
-                "{name:<16} {threads} threads {:>15.2} ms  {:>7.2} Mcyc/s  ({:.2}x serial)",
-                tsecs * 1e3,
-                cycles as f64 / tsecs / 1e6,
-                secs / tsecs,
-            );
-            tsecs
-        });
-        measurements.push(Measurement { name, cycles, secs, threaded_secs });
+        measurements.push(Measurement { name, cycles, secs });
     }
     for m in &measurements {
         let after = m.cycles as f64 / m.secs;
@@ -155,7 +135,7 @@ fn main() {
             .find(|(n, _)| n == m.name)
             .map(|&(_, cps)| cps)
             .unwrap_or(after);
-        let mut row = vec![
+        let row = vec![
             ("name".into(), Json::Str(m.name.into())),
             ("cycles".into(), num(m.cycles as f64)),
             ("best_pass_secs".into(), num(m.secs)),
@@ -163,11 +143,6 @@ fn main() {
             ("after_cycles_per_sec".into(), num(after)),
             ("speedup".into(), num(after / before)),
         ];
-        if let Some(tsecs) = m.threaded_secs {
-            row.push(("threaded_best_pass_secs".into(), num(tsecs)));
-            row.push(("threaded_cycles_per_sec".into(), num(m.cycles as f64 / tsecs)));
-            row.push(("thread_speedup".into(), num(m.secs / tsecs)));
-        }
         rows.push(Json::Obj(row));
         println!(
             "{:<16} before {:>9.0} cyc/s  after {:>9.0} cyc/s  speedup {:>5.2}x",
@@ -191,23 +166,13 @@ fn main() {
         sweep.configs, sweep.serial_secs, workers, sweep.parallel_secs, sweep.scaling()
     );
 
-    let bench_name = if threads > 1 {
-        "clock-domain threaded schedule vs the serial loop"
-    } else {
-        "zero-allocation signal transport + flat clock schedule"
-    };
     let report = Json::Obj(vec![
-        ("bench".into(), Json::Str(bench_name.into())),
+        (
+            "bench".into(),
+            Json::Str("zero-allocation signal transport + flat clock schedule".into()),
+        ),
         ("mode".into(), Json::Str(if full { "full" } else { "quick" }.into())),
         ("samples".into(), num(f64::from(samples))),
-        ("threads".into(), num(threads as f64)),
-        (
-            // Thread scaling is only meaningful relative to the host's
-            // real core count (a 1-core box cannot speed up, only stay
-            // bit-identical).
-            "host_cores".into(),
-            num(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as f64),
-        ),
         ("workloads".into(), Json::Arr(rows)),
         (
             "sweep".into(),

@@ -603,16 +603,16 @@ mod tests {
     #[test]
     fn reachability_walks_the_call_graph() {
         let f = file(
-            "fn clock_pure() { step_one(); }\n\
+            "fn clock() { step_one(); }\n\
              fn step_one() { leaf(); }\n\
              fn leaf() {}\n\
              fn unrelated() { leaf(); }\n",
         );
         let m = SourceModel::build(std::slice::from_ref(&f));
-        let roots = m.fns_named(&["clock_pure"]);
+        let roots = m.fns_named(&["clock"]);
         let reach = m.reachable(&roots);
         let names: Vec<&str> =
             reach.iter().map(|&i| m.fns[i].func.name.as_str()).collect();
-        assert_eq!(names, ["clock_pure", "step_one", "leaf"]);
+        assert_eq!(names, ["clock", "step_one", "leaf"]);
     }
 }

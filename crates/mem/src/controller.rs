@@ -56,6 +56,27 @@ impl Client {
         }
     }
 
+    /// One past the largest dense slot index any client of a
+    /// machine with these unit counts can take — the most slots a
+    /// controller's dense per-client queue vector can ever need.
+    pub fn slot_bound(zstencil: usize, colorwrite: usize, texture: usize) -> usize {
+        let last = |units: usize, client: fn(u8) -> Client| {
+            units
+                .checked_sub(1)
+                .map_or(0, |u| client(u8::try_from(u).unwrap_or(u8::MAX)).index() + 1)
+        };
+        [Client::CommandProcessor, Client::Streamer, Client::Dac]
+            .into_iter()
+            .map(|c| c.index() + 1)
+            .chain([
+                last(zstencil, Client::ZStencil),
+                last(colorwrite, Client::ColorWrite),
+                last(texture, Client::Texture),
+            ])
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Stable numeric code identifying this client across processes —
     /// the serialized form used by checkpoints (unlike the private
     /// `index`, which is an internal slot layout free to change).
@@ -621,14 +642,20 @@ impl MemoryController {
 
     /// Restores a snapshot taken by [`save_state`](Self::save_state) into
     /// a freshly built controller of the same configuration.
+    /// `slot_bound` is [`Client::slot_bound`] for the machine's unit
+    /// counts: no checkpoint this machine wrote can carry more queue
+    /// slots per channel.
     ///
     /// # Errors
     ///
     /// Returns [`attila_sim::SimError::CheckpointMismatch`] when the
-    /// channel counts differ.
+    /// channel counts differ or a channel claims more queue slots than
+    /// `slot_bound` — checked before anything is allocated, so a
+    /// corrupt count cannot exhaust memory.
     pub fn load_state(
         &mut self,
         state: &MemControllerState,
+        slot_bound: usize,
     ) -> Result<(), attila_sim::SimError> {
         if state.channels.len() != self.channels.len()
             || state.next_clients.len() != self.channels.len()
@@ -639,6 +666,14 @@ impl MemoryController {
                     "controller has {} channels, checkpoint carries {}",
                     self.channels.len(),
                     state.channels.len()
+                ),
+            });
+        }
+        if let Some(&slots) = state.queue_slots.iter().find(|&&n| n > slot_bound) {
+            return Err(attila_sim::SimError::CheckpointMismatch {
+                reason: format!(
+                    "checkpoint carries {slots} queue slots per channel, this machine's \
+                     clients need at most {slot_bound}"
                 ),
             });
         }

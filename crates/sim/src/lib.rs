@@ -69,7 +69,6 @@ pub mod fault;
 pub mod lint;
 pub mod name;
 pub mod object;
-pub mod partition;
 pub mod rng;
 pub mod signal;
 pub mod stats;
@@ -88,9 +87,8 @@ pub use fault::{
 };
 pub use name::SignalName;
 pub use object::{DynamicObject, ObjectIdGen, Traceable};
-pub use partition::partition_chain;
 pub use rng::TinyRng;
-pub use signal::{DrainStaged, Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter};
+pub use signal::{Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter};
 pub use stats::{Counter, Gauge, StatSnapshotEntry, StatsRegistry, StatsSnapshot};
 pub use trace::{SignalTrace, TraceEvent, TraceSink};
 pub use viz::{render_html, VizOptions};

@@ -17,6 +17,7 @@ use attila::core::config::GpuConfig;
 use attila::core::gpu::Gpu;
 use attila::core::{Checkpoint, ShaderScheduling};
 use attila::gl::{compile, workloads};
+use attila::mem::Client;
 use attila::sim::{FaultInjector, FaultPlan, SimError};
 
 const W: u32 = 48;
@@ -266,37 +267,6 @@ fn bank_state_survives_restore_under_stressed_timings() {
 }
 
 #[test]
-fn checkpoint_written_at_n_threads_restores_at_m_threads() {
-    // Checkpoints capture only architectural state, and every thread
-    // count produces bit-identical state — so a checkpoint written by a
-    // 4-thread run must restore and finish identically on a serial
-    // machine, a 2-thread machine, and an 8-thread machine.
-    let (reference, total) = baseline(None);
-    let path = tmp_ckpt("threads", 4);
-    let _ = std::fs::remove_file(&path);
-
-    let mut gpu = Gpu::with_threads(config(), 4);
-    assert!(gpu.threading_active(), "writer leg runs threaded");
-    gpu.max_cycles = total * 3 / 5;
-    gpu.checkpoint_every = Some(300);
-    gpu.checkpoint_path = Some(path.clone());
-    let killed = gpu.run_trace(scene());
-    assert!(killed.is_err(), "watchdog interrupts the writer leg");
-    drop(gpu);
-
-    let ckpt = Checkpoint::read_file(&path).expect("checkpoint written while threaded");
-    for threads in [1usize, 2, 8] {
-        let mut gpu = Gpu::restore_with_threads(config(), threads, scene(), &ckpt, None)
-            .expect("restores at a different thread count");
-        gpu.max_cycles = 50_000_000;
-        let result = gpu.run_trace(&[]).expect("resumed run drains");
-        final_state(&gpu, &result.framebuffers)
-            .assert_matches(&reference, &format!("4-thread checkpoint resumed at {threads}"));
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn checkpoint_survives_process_exit_semantics() {
     // The file on disk alone — no in-process state — must be enough to
     // finish the run. Everything flows through the serialized JSON.
@@ -419,6 +389,35 @@ fn config_and_trace_hash_mismatches_are_refused() {
     match Gpu::restore(other_config, scene(), &ckpt, None) {
         Err(SimError::CheckpointMismatch { .. }) => {}
         other => panic!("restore must refuse a foreign config, got {other:?}"),
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn absurd_queue_slots_are_refused_before_allocating() {
+    // A checkpoint with a valid CRC but a corrupt per-channel queue-slot
+    // count must be refused with a typed error, not grow the controller's
+    // queue vector (1e9 slots is ~32 GB: an abort no `catch_unwind` in
+    // the serve daemon could contain).
+    let (path, _) = write_valid_checkpoint("slots");
+    let valid = Checkpoint::read_file(&path).expect("valid file");
+    let c = config();
+    let bound = Client::slot_bound(c.zstencil.units, c.colorwrite.units, c.texture.units);
+    for (slots, accepted) in [(1_000_000_000, false), (bound + 1, false), (bound, true)] {
+        let mut ckpt = valid.clone();
+        ckpt.body.mem_ctrl.queue_slots[0] = slots;
+        // Writing re-renders the body and recomputes its CRC, so the file
+        // reads back clean and only the restore can catch the count.
+        ckpt.write_file(&path).expect("rewritten");
+        let reread = Checkpoint::read_file(&path).expect("CRC recomputed");
+        match Gpu::restore(config(), scene(), &reread, None) {
+            Err(SimError::CheckpointMismatch { reason }) if !accepted => {
+                assert!(reason.contains("queue slots"), "reason names the field: {reason}");
+            }
+            Ok(_) if accepted => {}
+            Err(e) => panic!("{slots} queue slots: unexpected refusal: {e}"),
+            Ok(_) => panic!("{slots} queue slots: restored a corrupt checkpoint"),
+        }
     }
     let _ = std::fs::remove_file(&path);
 }

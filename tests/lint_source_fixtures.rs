@@ -2,7 +2,7 @@
 //! fixture must fire the right rule at the right place, and the real
 //! workspace must come back clean so the CI gate stays meaningful.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
 
 use attila::lint::{lint, scan_workspace, Finding, ScannedFile, Severity};
@@ -215,7 +215,7 @@ pub struct Boxy {
 }
 
 impl Boxy {
-    pub fn clock_pure(&mut self) {
+    pub fn clock(&mut self) {
         self.helper_step();
     }
     fn helper_step(&mut self) {
@@ -227,67 +227,39 @@ impl Boxy {
     let hit = findings
         .iter()
         .find(|f| f.rule == "shared-mut")
-        .expect("interior mutability reached from clock_pure must fire");
+        .expect("interior mutability reached from clock must fire");
     assert_eq!(hit.severity, Severity::Deny);
     assert!(hit.message.contains("helper_step"), "must name the reached fn: {}", hit.message);
 }
 
 #[test]
-fn lock_traffic_on_the_clock_path_fires_phase_safety() {
-    let src = r#"
-pub struct Boxy {
-    shared: std::sync::Mutex<u64>,
-}
-
-impl Boxy {
-    pub fn clock_pure(&mut self) {
-        self.pump_queue();
-    }
-    fn pump_queue(&mut self) {
-        let _guard = self.shared.lock();
-    }
-}
-"#;
-    let findings = lint_fixture("crates/mem/src/fixture.rs", src);
+fn static_mut_fires_phase_safety() {
+    let findings = lint_fixture("crates/mem/src/fixture.rs", "static mut HITS: u64 = 0;\n");
     assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == "phase-safety" && f.message.contains("lock traffic")),
-        "lock traffic in a clock-reachable fn must fire phase-safety: {findings:?}"
-    );
-}
-
-#[test]
-fn shard_cell_outside_its_funnels_fires_phase_safety() {
-    let src = "use attila_core::ShardCell;\n";
-    let findings = lint_fixture("crates/mem/src/fixture.rs", src);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == "phase-safety" && f.message.contains("ShardCell")),
-        "naming ShardCell outside shard.rs/gpu.rs/lib.rs must fire: {findings:?}"
+        findings.iter().any(|f| f.rule == "phase-safety" && f.severity == Severity::Deny),
+        "a mutable static must fire phase-safety: {findings:?}"
     );
 }
 
 #[test]
 fn unsafe_rules_are_scoped_to_core_with_safety_comments() {
-    // Outside crates/core: always denied, SAFETY comment or not.
+    // No crate is exempt any more and no comment blesses `unsafe`: every
+    // non-test use is denied, wherever it lives.
     let outside = lint_fixture(
         "crates/mem/src/fixture.rs",
         "fn f() {\n    // SAFETY: not good enough here\n    unsafe { imagine() }\n}\n",
     );
     assert!(rules(&outside).contains(&"phase-unsafe"), "{outside:?}");
 
-    // Inside crates/core without a SAFETY comment: denied.
     let bare = lint_fixture("crates/core/src/fixture.rs", "fn f() {\n    unsafe { imagine() }\n}\n");
     assert!(rules(&bare).contains(&"phase-unsafe"), "{bare:?}");
 
-    // Inside crates/core with a (multi-line) SAFETY block directly above: clean.
+    // Formerly the blessed case (crates/core under a SAFETY block): denied too.
     let blessed = lint_fixture(
         "crates/core/src/fixture.rs",
         "fn f() {\n    // SAFETY: the chain phase owns this slot for the whole\n    // domain step; no other thread can alias it.\n    unsafe { imagine() }\n}\n",
     );
-    assert!(!rules(&blessed).contains(&"phase-unsafe"), "{blessed:?}");
+    assert!(rules(&blessed).contains(&"phase-unsafe"), "{blessed:?}");
 }
 
 #[test]
@@ -366,18 +338,4 @@ fn cli_source_lint_exits_one_on_findings_and_writes_the_report() {
     assert_eq!(written, stdout, "report must match stdout byte for byte");
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn standalone_linter_binary_agrees_with_the_cli() {
-    // `cargo run -p attila-lint` and `attila lint --source` share the
-    // engine; prove the binary exists and exits clean on the real tree.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let out = attila_bin()
-        .args(["lint", "--source"])
-        .arg("--root")
-        .arg(root)
-        .output()
-        .expect("attila runs");
-    assert!(out.status.success());
 }
